@@ -43,7 +43,7 @@ from repro.core.restrictions import Grantee, Restriction, is_bearer
 from repro.crypto import rsa as _rsa
 from repro.crypto import schnorr as _schnorr
 from repro.crypto import symmetric as _symmetric
-from repro.crypto.dh import DEFAULT_GROUP, DhGroup
+from repro.crypto.dh import SCHNORR_GROUP, DhGroup
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.crypto.signature import HmacSigner, SchnorrSigner, Signer
@@ -175,7 +175,7 @@ def grant_public(
     issued_at: float,
     expires_at: float,
     rng: Optional[Rng] = None,
-    group: DhGroup = DEFAULT_GROUP,
+    group: DhGroup = SCHNORR_GROUP,
 ) -> Proxy:
     """Grant a pure public-key proxy (Fig. 6).
 
@@ -320,7 +320,7 @@ def delegate_cascade(
     issued_at: float,
     expires_at: float,
     rng: Optional[Rng] = None,
-    group: DhGroup = DEFAULT_GROUP,
+    group: DhGroup = SCHNORR_GROUP,
 ) -> Proxy:
     """Delegate cascade: a named intermediate passes a delegate proxy on.
 

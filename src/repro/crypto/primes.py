@@ -8,7 +8,7 @@ moduli used in the reproduction.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.crypto.rng import DEFAULT_RNG, Rng
 
@@ -96,3 +96,35 @@ def generate_safe_prime(bits: int, rng: Optional[Rng] = None) -> int:
         p = 2 * q + 1
         if is_probable_prime(p, rng=rng):
             return p
+
+
+def generate_schnorr_group(
+    pbits: int, qbits: int, rng: Optional[Rng] = None
+) -> Tuple[int, int, int]:
+    """Generate ``(p, q, g)`` for a prime-order-subgroup signature group.
+
+    ``q`` is a ``qbits``-bit prime and ``p`` a ``pbits``-bit prime with
+    ``q | p - 1``, searched as in FIPS 186-4 A.1.1.2: draw a ``pbits``-bit
+    ``X`` and round it down to ``p = X - (X mod 2q) + 1``.  ``g`` is
+    ``h**((p-1)/q) mod p`` for the first ``h = 2, 3, ...`` giving ``g != 1``,
+    so it generates the order-``q`` subgroup.  With a seeded ``rng`` the
+    result is reproducible (the constants in :mod:`repro.crypto.dh` were
+    made this way).
+    """
+    rng = rng or DEFAULT_RNG
+    q = generate_prime(qbits, rng=rng)
+    while True:
+        x = rng.int_bits(pbits)
+        p = x - x % (2 * q) + 1
+        if p.bit_length() != pbits:
+            continue
+        if any(p % s == 0 for s in _SMALL_PRIMES[:64]):
+            continue
+        if is_probable_prime(p, rng=rng):
+            break
+    h = 2
+    while True:
+        g = pow(h, (p - 1) // q, p)
+        if g != 1:
+            return p, q, g
+        h += 1

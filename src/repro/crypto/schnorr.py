@@ -1,4 +1,4 @@
-"""Schnorr signatures and integrated encryption over a safe-prime group.
+"""Schnorr signatures and integrated encryption over a prime-order subgroup.
 
 Public-key proxies (§6.1) need a fresh public/private keypair *per proxy*
 ("the proxy key embedded in the proxy certificate is a public key from a
@@ -8,12 +8,21 @@ single modular exponentiation.  The library therefore offers Schnorr as the
 default public-key scheme for proxy keys, with RSA (:mod:`repro.crypto.rsa`)
 available wherever the grantor's long-term identity key is RSA.
 
-The group is the quadratic-residue subgroup of a safe prime ``p = 2q + 1``
-with generator ``g = 4`` (a square, hence a generator of the order-``q``
-subgroup).  Signatures are the standard Fiat–Shamir Schnorr scheme; the
-"integrated encryption" functions implement a DH/ElGamal KEM with the
-library's authenticated symmetric cipher, used to seal conventional proxy
-keys to an end-server (§6.1 hybrid scheme).
+Keys live in the order-``q`` subgroup of ``Z_p*``.  The default group,
+:data:`~repro.crypto.dh.SCHNORR_GROUP`, is a FIPS 186-4 (2048, 256) group:
+a 2048-bit prime ``p`` with a 256-bit prime ``q`` dividing ``p - 1`` and
+a fixed generator ``g`` of order ``q``, so every exponent is 256 bits and a
+signature ``e || s`` is 64 bytes.  Any other prime is taken to be a safe
+prime ``p = 2q + 1`` (the RFC 3526 group, the 512-bit test group), signed
+in its quadratic-residue subgroup with generator ``g = 4``.  Keys carry only
+``p`` on the wire; the group's ``q`` and ``g`` follow from it.
+
+Signatures are the standard Fiat–Shamir Schnorr scheme; the "integrated
+encryption" functions implement a DH/ElGamal KEM with the library's
+authenticated symmetric cipher, used to seal conventional proxy keys to an
+end-server (§6.1 hybrid scheme).  Decryption checks that the sender's
+ephemeral value has order ``q``, since the default group's cofactor has
+small factors.
 
 Modular exponentiation dominates the uncached verification cost, so this
 module carries a fast path with three cooperating pieces:
@@ -26,7 +35,7 @@ module carries a fast path with three cooperating pieces:
   registered with :func:`register_verification_key`), exponentiation
   becomes one table lookup and one modular multiply per ``window`` bits
   of exponent, with no squarings: 4–6x faster than ``pow()`` in
-  measurements on the 512-bit test group and the 2048-bit default group.
+  measurements on the 512-bit test group and the 2048-bit groups.
   Tables self-check against ``pow()`` at build time, and the verification
   fast paths below re-check any *negative* result natively, so a
   corrupted table can slow verification down but never change a verdict.
@@ -51,7 +60,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import symmetric
-from repro.crypto.dh import DEFAULT_GROUP, TEST_GROUP, DhGroup
+from repro.crypto.dh import (
+    DEFAULT_GROUP,
+    SCHNORR_GROUP,
+    SCHNORR_ORDER_256,
+    TEST_GROUP,
+    DhGroup,
+)
 from repro.crypto.rng import DEFAULT_RNG, Rng
 from repro.errors import CryptoError, SignatureError
 
@@ -63,16 +78,18 @@ _HASH = hashlib.sha256
 # ---------------------------------------------------------------------------
 
 class _GroupParams:
-    """Derived constants of one safe-prime group, computed once per prime."""
+    """Derived constants of one signing group, computed once per prime."""
 
     __slots__ = ("p", "q", "g", "plen", "qlen")
 
     def __init__(self, p: int) -> None:
         self.p = p
-        self.q = (p - 1) // 2
-        # 4 = 2**2 is always a quadratic residue, so it generates the
-        # order-q subgroup of a safe-prime group.
-        self.g = 4
+        if p == SCHNORR_GROUP.p:
+            self.q, self.g = SCHNORR_ORDER_256, SCHNORR_GROUP.g
+        else:
+            # Any other p is a safe prime: 4 = 2**2 is a quadratic
+            # residue, so it generates the order-(p-1)/2 subgroup.
+            self.q, self.g = (p - 1) // 2, 4
         self.plen = (p.bit_length() + 7) // 8
         self.qlen = (self.q.bit_length() + 7) // 8
 
@@ -85,14 +102,6 @@ def _params(p: int) -> _GroupParams:
     if params is None:
         params = _PARAMS[p] = _GroupParams(p)
     return params
-
-
-def _subgroup_order(group: DhGroup) -> int:
-    return _params(group.p).q
-
-
-def _generator(group: DhGroup) -> int:
-    return _params(group.p).g
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +301,7 @@ class SchnorrPrivateKey:
 
 
 def generate_keypair(
-    group: DhGroup = DEFAULT_GROUP, rng: Optional[Rng] = None
+    group: DhGroup = SCHNORR_GROUP, rng: Optional[Rng] = None
 ) -> SchnorrPrivateKey:
     """Generate a Schnorr keypair (one modexp; cheap enough per proxy)."""
     rng = rng or DEFAULT_RNG
@@ -516,7 +525,9 @@ def decrypt(key: SchnorrPrivateKey, ciphertext: bytes) -> bytes:
     """Decrypt a box produced by :func:`encrypt_to`.
 
     Raises:
-        CryptoError: on truncation or an out-of-range ephemeral value.
+        CryptoError: on truncation, or an ephemeral value that is out of
+            range or outside the order-``q`` subgroup (a small-subgroup
+            element would leak the private key's residues, Lim–Lee).
         IntegrityError: when the authenticated box fails to open.
     """
     params = _params(key.group_p)
@@ -526,6 +537,8 @@ def decrypt(key: SchnorrPrivateKey, ciphertext: bytes) -> bytes:
     ephemeral = int.from_bytes(ciphertext[:plen], "big")
     if not 2 <= ephemeral <= params.p - 2:
         raise CryptoError("IES ephemeral value out of range")
+    if pow(ephemeral, params.q, params.p) != 1:
+        raise CryptoError("IES ephemeral value not in the signing subgroup")
     shared = pow(ephemeral, key.x, params.p)
     sym = _HASH(b"ies-kdf:" + shared.to_bytes(plen, "big")).digest()[
         : symmetric.KEY_LEN
@@ -550,5 +563,6 @@ __all__ = [
     "encrypt_to",
     "decrypt",
     "DEFAULT_GROUP",
+    "SCHNORR_GROUP",
     "TEST_GROUP",
 ]

@@ -1,9 +1,12 @@
 """Schnorr signatures, integrated encryption, and Diffie-Hellman."""
 
+import itertools
+
 import pytest
 
 from repro.crypto import dh, schnorr
 from repro.crypto.dh import TEST_GROUP
+from repro.crypto.primes import generate_schnorr_group, is_probable_prime
 from repro.crypto.rng import Rng
 from repro.errors import CryptoError, IntegrityError, SignatureError
 
@@ -111,3 +114,156 @@ class TestDiffieHellman:
     def test_default_group_is_rfc3526(self):
         assert dh.DEFAULT_GROUP.p == dh.RFC3526_PRIME_2048
         assert dh.DEFAULT_GROUP.bit_length == 2048
+
+
+class TestSchnorrGroup:
+    """The default (2048, 256) signing group's embedded constants."""
+
+    def test_sizes(self):
+        assert dh.SCHNORR_GROUP.p.bit_length() == 2048
+        assert dh.SCHNORR_ORDER_256.bit_length() == 256
+
+    def test_p_and_q_prime(self):
+        rng = Rng(seed=b"schnorr-group-check")
+        assert is_probable_prime(dh.SCHNORR_GROUP.p, rng=rng)
+        assert is_probable_prime(dh.SCHNORR_ORDER_256, rng=rng)
+
+    def test_q_divides_p_minus_1(self):
+        assert (dh.SCHNORR_GROUP.p - 1) % dh.SCHNORR_ORDER_256 == 0
+
+    def test_generator_has_order_q(self):
+        p, g = dh.SCHNORR_GROUP.p, dh.SCHNORR_GROUP.g
+        assert 2 <= g <= p - 1
+        assert g != 1
+        assert pow(g, dh.SCHNORR_ORDER_256, p) == 1
+
+    def test_regenerates_from_recorded_seed(self):
+        assert generate_schnorr_group(
+            2048, 256, Rng(seed=b"schnorr-group-2048-256")
+        ) == (dh.SCHNORR_GROUP.p, dh.SCHNORR_ORDER_256, dh.SCHNORR_GROUP.g)
+
+    def test_default_keys_and_signatures(self, rng):
+        key = schnorr.generate_keypair(rng=rng)
+        assert key.group_p == dh.SCHNORR_GROUP.p
+        assert 1 <= key.x < dh.SCHNORR_ORDER_256
+        sig = schnorr.sign(key, b"message", rng=rng)
+        assert len(sig) == 64
+        schnorr.verify(key.public, b"message", sig)
+        assert set(key.public.to_wire()) == {"p", "y"}
+
+    def test_safe_prime_groups_keep_their_derivation(self):
+        params = schnorr._params(TEST_GROUP.p)
+        assert params.q == (TEST_GROUP.p - 1) // 2
+        assert params.g == 4
+
+
+def _small_order_element(p, order):
+    """An element of ``Z_p*`` of exactly ``order`` (a prime dividing p-1)."""
+    for h in range(2, 1000):
+        element = pow(h, (p - 1) // order, p)
+        if element != 1:
+            return element
+    raise AssertionError("no element of the requested order")
+
+
+class TestIesSubgroupCheck:
+    @pytest.fixture
+    def server(self, rng):
+        return schnorr.generate_keypair(dh.SCHNORR_GROUP, rng=rng)
+
+    def test_small_order_ephemeral_rejected(self, server, rng):
+        p = dh.SCHNORR_GROUP.p
+        assert ((p - 1) // dh.SCHNORR_ORDER_256) % 13 == 0
+        hostile = _small_order_element(p, 13)
+        assert pow(hostile, 13, p) == 1
+        box = schnorr.encrypt_to(server.public, b"secret", rng=rng)
+        forged = hostile.to_bytes(256, "big") + box[256:]
+        with pytest.raises(CryptoError, match="subgroup"):
+            schnorr.decrypt(server, forged)
+
+    def test_valid_box_still_opens(self, server, rng):
+        box = schnorr.encrypt_to(server.public, b"proxy key", rng=rng)
+        assert len(box) > 256
+        assert schnorr.decrypt(server, box) == b"proxy key"
+
+    def test_safe_prime_group_non_residue_rejected(self, key, rng):
+        # In a safe-prime group the only element outside the signing
+        # subgroup that passes the range check has order 2q; 2 generates
+        # it when it is a non-residue, otherwise p - 4 does.
+        p = TEST_GROUP.p
+        q = (p - 1) // 2
+        hostile = 2 if pow(2, q, p) != 1 else p - 4
+        assert pow(hostile, q, p) != 1
+        box = schnorr.encrypt_to(key.public, b"secret", rng=rng)
+        plen = (p.bit_length() + 7) // 8
+        forged = hostile.to_bytes(plen, "big") + box[plen:]
+        with pytest.raises(CryptoError, match="subgroup"):
+            schnorr.decrypt(key, forged)
+
+
+COMPAT_GROUPS = {
+    "test-512": TEST_GROUP,
+    "rfc3526": dh.DEFAULT_GROUP,
+    "schnorr-2048-256": dh.SCHNORR_GROUP,
+}
+
+
+class TestGroupCompatibility:
+    @pytest.mark.parametrize(
+        "group", list(COMPAT_GROUPS.values()), ids=list(COMPAT_GROUPS)
+    )
+    def test_sign_verify_batch_in_group(self, group):
+        rng = Rng(seed=b"compat-%d" % (group.p % 997))
+        keys = [schnorr.generate_keypair(group, rng=rng) for _ in range(3)]
+        items = []
+        for i, key in enumerate(keys):
+            message = b"m%d" % i
+            signature = schnorr.sign(key, message, rng=rng)
+            schnorr.verify(key.public, message, signature)
+            items.append((key.public, message, signature))
+        errors, _ = schnorr.verify_batch(items, rng=Rng(seed=b"w"))
+        assert errors == [None, None, None]
+        with pytest.raises(SignatureError):
+            schnorr.verify(keys[0].public, b"other", items[0][2])
+
+    @pytest.mark.parametrize(
+        "signing,checking",
+        list(itertools.permutations(COMPAT_GROUPS.values(), 2)),
+        ids=[
+            f"{a}-vs-{b}" for a, b in itertools.permutations(COMPAT_GROUPS, 2)
+        ],
+    )
+    def test_cross_group_signature_fails_cleanly(self, signing, checking):
+        rng = Rng(seed=b"cross-group")
+        signer = schnorr.generate_keypair(signing, rng=rng)
+        other = schnorr.generate_keypair(checking, rng=rng)
+        signature = schnorr.sign(signer, b"msg", rng=rng)
+        with pytest.raises(SignatureError):
+            schnorr.verify(other.public, b"msg", signature)
+
+    def test_mixed_group_batch_matches_sequential(self):
+        rng = Rng(seed=b"mixed-batch")
+        keys = [
+            schnorr.generate_keypair(group, rng=rng)
+            for group in (TEST_GROUP, dh.DEFAULT_GROUP, dh.SCHNORR_GROUP)
+        ]
+        sigs = [schnorr.sign(key, b"m", rng=rng) for key in keys]
+        items = []
+        for i, key in enumerate(keys):
+            items.append((key.public, b"m", sigs[i]))  # valid
+            items.append((key.public, b"x", sigs[i]))  # wrong message
+            items.append((key.public, b"m", sigs[i - 1]))  # other group
+            forged = bytearray(sigs[i])
+            forged[-1] ^= 1
+            items.append((key.public, b"m", bytes(forged)))  # tampered
+        batch, _ = schnorr.verify_batch(items, rng=Rng(seed=b"w"))
+        sequential = []
+        for key, message, signature in items:
+            try:
+                schnorr.verify(key, message, signature)
+                sequential.append(None)
+            except SignatureError as exc:
+                sequential.append(str(exc))
+        assert [None if e is None else str(e) for e in batch] == sequential
+        assert sequential[0::4] == [None, None, None]
+        assert all(e is not None for i, e in enumerate(sequential) if i % 4)
