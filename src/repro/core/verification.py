@@ -420,12 +420,14 @@ class ProxyVerifier:
         certs: Tuple[ProxyCertificate, ...],
         cache: Optional[ChainPrefixCache],
         audit_trail: list,
-    ) -> Tuple[Optional[_PossessionMaterial], int, int, int, None]:
+    ) -> Tuple[Optional[_PossessionMaterial], bool, int, int, int, None]:
         """The original link-at-a-time walk (``batch_verify=False``)."""
         previous: Optional[_PossessionMaterial] = None
+        restored = False
         prefix_key = _CHAIN_CACHE_DOMAIN
         chain_hits = chain_misses = chain_evictions = 0
         for index, cert in enumerate(certs):
+            restored = False
             identity_verifier = self._resolve_link(index, cert, audit_trail)
             if cache is not None:
                 token = (
@@ -438,7 +440,7 @@ class ProxyVerifier:
                 ).digest()
                 cached = cache.get(prefix_key)
                 if cached is not None:
-                    previous = cached
+                    previous, restored = cached, True
                     chain_hits += 1
                     continue
                 chain_misses += 1
@@ -456,7 +458,10 @@ class ProxyVerifier:
             previous = self._possession_material(cert, index, previous)
             if cache is not None:
                 chain_evictions += cache.put(prefix_key, previous)
-        return previous, chain_hits, chain_misses, chain_evictions, None
+        return (
+            previous, restored, chain_hits, chain_misses, chain_evictions,
+            None,
+        )
 
     def _walk_chain_batched(
         self,
@@ -464,7 +469,8 @@ class ProxyVerifier:
         cache: Optional[ChainPrefixCache],
         audit_trail: list,
     ) -> Tuple[
-        Optional[_PossessionMaterial], int, int, int, _signature.BatchStats
+        Optional[_PossessionMaterial], bool, int, int, int,
+        _signature.BatchStats,
     ]:
         """Collect the whole chain's signature checks into one batch call.
 
@@ -486,17 +492,21 @@ class ProxyVerifier:
 
         Identity (grantor/delegate) Schnorr keys are registered for
         fixed-base precomputation on first sight here: they recur across
-        presentations, unlike one-shot embedded proxy keys.  Rotation is
+        presentations.  An embedded proxy key earns a table only once the
+        chain cache shows its chain re-presented (see
+        :meth:`_verify_presentation`).  Rotation is
         safe because a rotated key is a different ``(p, y)`` table key
         *and* a different chain-cache identity token.
         """
         previous: Optional[_PossessionMaterial] = None
+        restored = False
         prefix_key = _CHAIN_CACHE_DOMAIN
         chain_hits = chain_misses = 0
         checks: list = []  # (link index, verifier, body, signature)
         puts: list = []  # (link index, prefix key, possession material)
         pending: Optional[ReproError] = None
         for index, cert in enumerate(certs):
+            restored = False
             try:
                 identity_verifier = self._resolve_link(
                     index, cert, audit_trail
@@ -517,7 +527,7 @@ class ProxyVerifier:
                 ).digest()
                 cached = cache.get(prefix_key)
                 if cached is not None:
-                    previous = cached
+                    previous, restored = cached, True
                     chain_hits += 1
                     continue
                 chain_misses += 1
@@ -556,7 +566,10 @@ class ProxyVerifier:
             ) from failure
         if pending is not None:
             raise pending
-        return previous, chain_hits, chain_misses, chain_evictions, batch
+        return (
+            previous, restored, chain_hits, chain_misses, chain_evictions,
+            batch,
+        )
 
     # -- cross-request batch prefetch ----------------------------------------
 
@@ -725,7 +738,10 @@ class ProxyVerifier:
             walk = self._walk_chain_batched(certs, cache, audit_trail)
         else:
             walk = self._walk_chain_sequential(certs, cache, audit_trail)
-        previous, chain_hits, chain_misses, chain_evictions, batch = walk
+        (
+            previous, restored, chain_hits, chain_misses, chain_evictions,
+            batch,
+        ) = walk
         if batch is not None and batch.batches:
             telemetry = self.telemetry
             telemetry.inc(
@@ -778,6 +794,11 @@ class ProxyVerifier:
         final = certs[-1]
         bearer_use = presented.proof is not None
         if bearer_use:
+            if restored and isinstance(previous, SchnorrVerifier):
+                # The prefix cache restored the final link's key, so the
+                # whole chain verified before and its possession proofs
+                # recur: give the key a table if a slot is free.
+                _schnorr.admit_possession_key(previous.public)
             self._verify_possession_proof(presented, previous)
             if (
                 expected_digest is not None

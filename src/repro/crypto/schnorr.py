@@ -30,12 +30,13 @@ module carries a fast path with three cooperating pieces:
 * **Group-parameter memoization** — ``q``, ``qlen``, ``plen`` and the
   generator are derived once per distinct prime and reused by every
   sign/verify/KEM call (they were previously recomputed per call).
-* **Fixed-base windowed tables** (:class:`FixedBaseTable`) — for a base
-  that recurs (the generator ``g`` of each group, and verification keys
-  registered with :func:`register_verification_key`), exponentiation
-  becomes one table lookup and one modular multiply per ``window`` bits
-  of exponent, with no squarings: 4–6x faster than ``pow()`` in
-  measurements on the 512-bit test group and the 2048-bit groups.
+* **Fixed-base comb tables** (:class:`FixedBaseTable`) — for a base that
+  recurs (the generator ``g`` of each group, identity keys registered
+  with :func:`register_verification_key`, and re-presented proxy keys
+  admitted with :func:`admit_possession_key`), exponentiation becomes a
+  Lim–Lee comb over 1024 precomputed entries: one modular multiply per
+  8 exponent bits plus one squaring per 32, about 7x faster than
+  ``pow()`` at 256-bit exponents and 5x at 2047-bit ones.
   Tables self-check against ``pow()`` at build time, and the verification
   fast paths below re-check any *negative* result natively, so a
   corrupted table can slow verification down but never change a verdict.
@@ -55,6 +56,7 @@ module carries a fast path with three cooperating pieces:
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -105,43 +107,67 @@ def _params(p: int) -> _GroupParams:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-base windowed precomputation
+# Fixed-base comb precomputation
 # ---------------------------------------------------------------------------
 
-class FixedBaseTable:
-    """Windowed precomputation table for exponentiations of one base.
+#: Comb geometry (Lim & Lee, CRYPTO '94): ``_TEETH`` exponent bits, one
+#: per tooth, form each table index, and there are ``_SUBTABLES`` tables
+#: of ``2**_TEETH`` entries.  The table size is fixed (1024 entries)
+#: whatever the exponent length; longer exponents cost more squarings.
+_TEETH = 8
+_SUBTABLES = 4
 
-    Row ``j`` holds ``base**(d * 2**(window*j)) mod p`` for every window
-    digit ``d``, so ``base**e`` is the product of one table entry per
-    nonzero window of ``e`` — no squarings, and the whole loop is a few
-    dozen big-int multiplies instead of square-and-multiply from scratch.
+#: ``_SPREAD[b]`` is byte ``b`` with bit ``t`` moved to byte ``t``, as 8
+#: little-endian bytes of 0 or 1: mapping it over an exponent's bytes
+#: lays every bit out in a byte of its own.
+_SPREAD = [
+    bytes((b >> t) & 1 for t in range(8)) for b in range(1 << _TEETH)
+]
+
+
+class FixedBaseTable:
+    """Lim–Lee comb table for exponentiations of one base.
+
+    The exponent's ``8 * cols`` bits are cut into ``_TEETH`` teeth of
+    ``cols`` bits each, and each tooth into ``_SUBTABLES`` blocks of
+    ``span`` columns.  Entry ``u`` of sub-table ``j`` holds the product
+    of ``base**(2**(i*cols + j*span))`` over the set bits ``i`` of ``u``,
+    so one column of comb digits costs one multiply per sub-table, and
+    ``base**e`` takes ``span - 1`` squarings in all.  For a 256-bit
+    exponent (``span`` 8) that is 7 squarings and at most 32 multiplies.
 
     The table is validated against native ``pow()`` on a deterministic
     pseudo-random exponent at build time, so a construction bug surfaces
-    immediately rather than as wrong verification results.
+    immediately rather than as wrong verification results.  Exponents
+    outside ``[0, 2**(8*cols))`` fall back to native ``pow()``.
     """
 
-    __slots__ = ("base", "p", "window", "_mask", "_rows")
+    __slots__ = ("base", "p", "_bits", "_cols", "_span", "_rows")
 
-    def __init__(
-        self, base: int, p: int, exponent_bits: int, window: int = 0
-    ) -> None:
-        if window <= 0:
-            window = _default_window(p.bit_length())
+    def __init__(self, base: int, p: int, exponent_bits: int) -> None:
         self.base = base
         self.p = p
-        self.window = window
-        self._mask = (1 << window) - 1
-        rows = []
+        # An even span makes each tooth a whole number of bytes.
+        span = -(-exponent_bits // (_TEETH * _SUBTABLES))
+        span += span & 1
+        self._span = span
+        self._cols = cols = _SUBTABLES * span
+        self._bits = _TEETH * cols
+        # powers[i * _SUBTABLES + j] = base ** (2 ** (i*cols + j*span))
+        powers = []
         level = base % p
-        for _ in range((exponent_bits + window - 1) // window):
-            row = [1] * (1 << window)
-            acc = 1
-            for digit in range(1, 1 << window):
-                acc = acc * level % p
-                row[digit] = acc
+        for _ in range(_TEETH * _SUBTABLES):
+            powers.append(level)
+            for _ in range(span):
+                level = level * level % p
+        rows = []
+        for j in range(_SUBTABLES):
+            row = [1] * (1 << _TEETH)
+            for i in range(_TEETH):
+                bit, power = 1 << i, powers[i * _SUBTABLES + j]
+                for low in range(bit):
+                    row[bit | low] = row[low] * power % p
             rows.append(row)
-            level = acc * level % p  # level ** (2 ** window)
         self._rows = rows
         self._self_check(exponent_bits)
 
@@ -156,27 +182,33 @@ class FixedBaseTable:
             raise CryptoError("fixed-base table failed its build self-check")
 
     def pow(self, exponent: int) -> int:
-        """``base ** exponent mod p`` via table lookups and multiplies."""
-        acc = 1
+        """``base ** exponent mod p`` via comb lookups and multiplies."""
+        if exponent >> self._bits:  # also true for negative exponents
+            return pow(self.base, exponent, self.p)
+        cols = self._cols
+        # Byte i*cols + c of ``spread`` is bit c of tooth i; OR-ing the
+        # teeth together, tooth i shifted by i, leaves column c's comb
+        # digit in byte c.
+        spread = b"".join(
+            map(_SPREAD.__getitem__, exponent.to_bytes(cols, "little"))
+        )
+        packed = 0
+        for tooth in range(_TEETH):
+            start = tooth * cols
+            packed |= (
+                int.from_bytes(spread[start:start + cols], "little") << tooth
+            )
+        digits = packed.to_bytes(cols, "little")
         p = self.p
-        mask = self._mask
-        window = self.window
+        span = self._span
         rows = self._rows
-        index = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                acc = acc * rows[index][digit] % p
-            exponent >>= window
-            index += 1
+        acc = 1
+        for column in range(span - 1, -1, -1):
+            acc = acc * acc % p
+            for row, digit in zip(rows, digits[column::span]):
+                if digit:
+                    acc = acc * row[digit] % p
         return acc
-
-
-def _default_window(modulus_bits: int) -> int:
-    # Wider windows trade precompute time and memory for fewer multiplies
-    # per exponentiation; 2048-bit tables are expensive enough to build
-    # that a narrower window amortizes faster.
-    return 4 if modulus_bits >= 1536 else 6
 
 
 #: Master switch for the table fast path.  Benchmarks flip it to measure
@@ -195,11 +227,15 @@ def set_precompute(enabled: bool) -> bool:
 
 _GENERATOR_TABLES: Dict[int, FixedBaseTable] = {}
 
-#: LRU of tables for registered verification keys, keyed (p, y).  Bounded
-#: because end-servers can see many principals; the generator tables are
+#: LRU of tables for verification keys, keyed (p, y).  Bounded because
+#: end-servers can see many principals; the generator tables are
 #: unbounded but there is one per *group*, of which a process has a few.
 _KEY_TABLES: "OrderedDict[Tuple[int, int], FixedBaseTable]" = OrderedDict()
 _MAX_KEY_TABLES = 128
+
+#: Guards every check-then-act on ``_KEY_TABLES``: admission tests for a
+#: free slot before it inserts, and a lookup moves the entry it found.
+_KEY_TABLES_LOCK = threading.Lock()
 
 
 def _generator_table(params: _GroupParams) -> FixedBaseTable:
@@ -211,26 +247,50 @@ def _generator_table(params: _GroupParams) -> FixedBaseTable:
     return table
 
 
-def register_verification_key(key: "SchnorrPublicKey") -> bool:
-    """Precompute a fixed-base table for a recurring verification key.
-
-    Called by verifiers on first sight of a grantor/identity key that will
-    check many signatures (one-shot proxy keys are not worth a table).
-    Tables are keyed by ``(p, y)``, so a rotated key is a *different* key:
-    the old table simply ages out of the LRU and can never answer for the
-    new key.  Returns True when a table was newly built.
-    """
+def _add_key_table(key: "SchnorrPublicKey", evict: bool) -> bool:
     table_key = (key.group_p, key.y)
-    if table_key in _KEY_TABLES:
-        _KEY_TABLES.move_to_end(table_key)
-        return False
-    params = _params(key.group_p)
-    _KEY_TABLES[table_key] = FixedBaseTable(
-        key.y % params.p, params.p, params.q.bit_length()
-    )
-    while len(_KEY_TABLES) > _MAX_KEY_TABLES:
-        _KEY_TABLES.popitem(last=False)
+    with _KEY_TABLES_LOCK:
+        if table_key in _KEY_TABLES:
+            _KEY_TABLES.move_to_end(table_key)
+            return False
+        if not evict and len(_KEY_TABLES) >= _MAX_KEY_TABLES:
+            return False
+        params = _params(key.group_p)
+        table = FixedBaseTable(
+            key.y % params.p, params.p, params.q.bit_length()
+        )
+        while len(_KEY_TABLES) >= _MAX_KEY_TABLES:
+            _KEY_TABLES.popitem(last=False)
+        _KEY_TABLES[table_key] = table
     return True
+
+
+def register_verification_key(key: "SchnorrPublicKey") -> bool:
+    """Precompute a fixed-base table for a recurring identity key.
+
+    Called by verifiers on first sight of a grantor/identity key, which
+    checks a signature on every presentation; the table evicts the least
+    recently used one when the store is full.  Proxy keys go through
+    :func:`admit_possession_key` instead.  Tables are keyed by ``(p, y)``,
+    so a rotated key is a *different* key: the old table simply ages out
+    of the LRU and can never answer for the new key.  Returns True when a
+    table was newly built.
+    """
+    return _add_key_table(key, evict=True)
+
+
+def admit_possession_key(key: "SchnorrPublicKey") -> bool:
+    """Precompute a table for a proxy key that has been re-presented.
+
+    Verifiers call this once the chain-prefix cache shows a chain whose
+    final link binds ``key`` has verified before, so the key sits in a
+    validly signed certificate and its possession proofs recur.  Unlike
+    :func:`register_verification_key`, admission never evicts: the key
+    gets a table only while the store has a free slot, so a round robin
+    over more chains than slots cannot rebuild tables over and over.
+    Returns True when a table was newly built.
+    """
+    return _add_key_table(key, evict=False)
 
 
 def registered_key_count() -> int:
@@ -240,7 +300,8 @@ def registered_key_count() -> int:
 
 def clear_key_tables() -> None:
     """Drop all per-key tables (tests / memory pressure)."""
-    _KEY_TABLES.clear()
+    with _KEY_TABLES_LOCK:
+        _KEY_TABLES.clear()
 
 
 def _gen_pow(params: _GroupParams, exponent: int) -> int:
@@ -253,9 +314,12 @@ def _gen_pow(params: _GroupParams, exponent: int) -> int:
 def _key_pow(params: _GroupParams, key: "SchnorrPublicKey", exponent: int) -> int:
     """``y ** exponent mod p``, table-accelerated for registered keys."""
     if _precompute_enabled:
-        table = _KEY_TABLES.get((key.group_p, key.y))
+        table_key = (key.group_p, key.y)
+        with _KEY_TABLES_LOCK:
+            table = _KEY_TABLES.get(table_key)
+            if table is not None:
+                _KEY_TABLES.move_to_end(table_key)
         if table is not None:
-            _KEY_TABLES.move_to_end((key.group_p, key.y))
             return table.pow(exponent)
     return pow(key.y, exponent, params.p)
 
@@ -557,6 +621,7 @@ __all__ = [
     "verify",
     "verify_batch",
     "register_verification_key",
+    "admit_possession_key",
     "registered_key_count",
     "clear_key_tables",
     "set_precompute",

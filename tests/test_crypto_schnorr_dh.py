@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import dh, schnorr
 from repro.crypto.dh import TEST_GROUP
@@ -267,3 +269,50 @@ class TestGroupCompatibility:
         assert [None if e is None else str(e) for e in batch] == sequential
         assert sequential[0::4] == [None, None, None]
         assert all(e is not None for i, e in enumerate(sequential) if i % 4)
+
+
+class TestCombTable:
+    """The Lim–Lee comb must agree with native pow() on every exponent."""
+
+    @pytest.fixture(params=list(COMPAT_GROUPS.values()), ids=list(COMPAT_GROUPS))
+    def params(self, request):
+        return schnorr._params(request.param.p)
+
+    @pytest.mark.parametrize(
+        "group", list(COMPAT_GROUPS.values()), ids=list(COMPAT_GROUPS)
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(exponent=st.integers(min_value=0, max_value=1 << 2048))
+    def test_pow_matches_native(self, group, exponent):
+        params = schnorr._params(group.p)
+        table = schnorr._generator_table(params)
+        for e in (exponent % params.q, exponent):
+            assert table.pow(e) == pow(params.g, e, params.p)
+
+    def test_edge_exponents(self, params):
+        table = schnorr._generator_table(params)
+        beyond = 1 << table._bits  # first exponent past the comb's range
+        for e in (0, 1, params.q - 1, beyond - 1, beyond, beyond + 1):
+            assert table.pow(e) == pow(params.g, e, params.p)
+
+    def test_any_base(self, params):
+        base = pow(params.g, 0xC0FFEE, params.p)
+        table = schnorr.FixedBaseTable(base, params.p, params.q.bit_length())
+        for e in (0, 1, params.q // 3, params.q - 1):
+            assert table.pow(e) == pow(base, e, params.p)
+
+    def test_damaged_build_fails_its_self_check(self):
+        p = TEST_GROUP.p
+
+        class DamagedTable(schnorr.FixedBaseTable):
+            __slots__ = ()
+
+            def _self_check(self, exponent_bits):
+                self._rows[0] = [1] + [
+                    (entry * 3) % p for entry in self._rows[0][1:]
+                ]
+                super()._self_check(exponent_bits)
+
+        params = schnorr._params(p)
+        with pytest.raises(CryptoError, match="build self-check"):
+            DamagedTable(params.g, p, params.q.bit_length())
