@@ -27,6 +27,16 @@ tag    Python type
 
 Lengths are encoded as 4-byte big-endian unsigned integers, which bounds any
 single field at 4 GiB — far beyond anything a proxy certificate carries.
+Subclasses of the supported types (an ``IntEnum``, a ``NamedTuple``)
+encode exactly as their base type.
+
+:func:`encode` makes one pass over the value, appending to a single
+``bytearray``: a container writes a placeholder length, then its
+elements, then patches the length in place, so no payload is copied once
+per nesting level.  Nodes dispatch on their exact ``type()``; only a
+subclass pays for the ``isinstance`` resolution.  :func:`encoded_size`
+walks the same way and only adds up lengths, which is what byte metering
+(``Message.wire_size``) needs.
 """
 
 from __future__ import annotations
@@ -39,10 +49,22 @@ from repro.errors import DecodingError, EncodingError
 
 _LEN = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+#: A tag byte and its 4-byte length, packed in one call.
+_HEAD = struct.Struct(">BI").pack
+#: The tags written with a length, as the ints ``_HEAD`` packs.
+_S, _B, _I = b"SBI"
+
+#: Supported base types, in the order a subclass is resolved against them
+#: (``bool`` cannot be subclassed, so ``int`` is safe to test first).
+_BASES = (int, float, bytes, str, list, tuple, dict)
 
 
-def _frame(tag: bytes, payload: bytes) -> bytes:
-    return tag + _LEN.pack(len(payload)) + payload
+def _base_type(value: Any) -> type:
+    """The supported type ``value`` is an instance of, for subclasses."""
+    for base in _BASES:
+        if isinstance(value, base):
+            return base
+    raise EncodingError(f"unsupported type: {type(value).__name__}")
 
 
 def encode(value: Any) -> bytes:
@@ -50,38 +72,104 @@ def encode(value: Any) -> bytes:
 
     Raises:
         EncodingError: if the value (or any nested element) is of an
-            unsupported type, or a dict has non-string keys.
+            unsupported type or a NaN float, or a dict has non-string
+            keys.
     """
-    if value is None:
-        return _frame(b"N", b"")
-    # bool must be tested before int (bool is a subclass of int).
-    if isinstance(value, bool):
-        return _frame(b"F", b"\x01" if value else b"\x00")
-    if isinstance(value, int):
-        length = (value.bit_length() + 8) // 8 or 1
-        return _frame(b"I", value.to_bytes(length, "big", signed=True))
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise EncodingError("NaN has no canonical encoding")
-        return _frame(b"D", _F64.pack(value))
-    if isinstance(value, bytes):
-        return _frame(b"B", value)
-    if isinstance(value, str):
-        return _frame(b"S", value.encode("utf-8"))
-    if isinstance(value, (list, tuple)):
-        payload = b"".join(encode(item) for item in value)
-        return _frame(b"L", payload)
-    if isinstance(value, dict):
-        parts = []
+    out = bytearray()
+    _write(out, value, type(value))
+    return bytes(out)
+
+
+def _write(out: bytearray, value: Any, kind: type) -> None:
+    """Append the encoding of ``value`` (whose type is ``kind``) to ``out``."""
+    if kind is str:
+        data = value.encode("utf-8")
+        out += _HEAD(_S, len(data))
+        out += data
+    elif kind is dict:
+        start = len(out)
+        out += b"M\x00\x00\x00\x00"
         for key in sorted(value):
             if not isinstance(key, str):
                 raise EncodingError(
                     f"dict keys must be str, got {type(key).__name__}"
                 )
-            parts.append(encode(key))
-            parts.append(encode(value[key]))
-        return _frame(b"M", b"".join(parts))
-    raise EncodingError(f"unsupported type: {type(value).__name__}")
+            data = key.encode("utf-8")
+            out += _HEAD(_S, len(data))
+            out += data
+            item = value[key]
+            _write(out, item, type(item))
+        _LEN.pack_into(out, start + 1, len(out) - start - 5)
+    elif kind is bytes:
+        out += _HEAD(_B, len(value))
+        out += value
+    elif kind is int:
+        length = (value.bit_length() + 8) // 8 or 1
+        out += _HEAD(_I, length)
+        out += value.to_bytes(length, "big", signed=True)
+    elif kind is list or kind is tuple:
+        start = len(out)
+        out += b"L\x00\x00\x00\x00"
+        for item in value:
+            _write(out, item, type(item))
+        _LEN.pack_into(out, start + 1, len(out) - start - 5)
+    elif kind is float:
+        if math.isnan(value):
+            raise EncodingError("NaN has no canonical encoding")
+        out += b"D\x00\x00\x00\x08"
+        out += _F64.pack(value)
+    elif value is None:
+        out += b"N\x00\x00\x00\x00"
+    elif kind is bool:
+        out += b"F\x00\x00\x00\x01\x01" if value else b"F\x00\x00\x00\x01\x00"
+    else:
+        _write(out, value, _base_type(value))
+
+
+def encoded_size(value: Any) -> int:
+    """``len(encode(value))``, computed without building any bytes.
+
+    Raises:
+        EncodingError: for every value :func:`encode` rejects.
+    """
+    return _size(value, type(value))
+
+
+def _size(value: Any, kind: type) -> int:
+    if kind is str:
+        # ``isascii`` is O(1) on CPython: ASCII text needs no encoding.
+        if value.isascii():
+            return 5 + len(value)
+        return 5 + len(value.encode("utf-8"))
+    if kind is dict:
+        # Sizes add up in any order, so the keys need no sorting.
+        size = 5
+        for key in value:
+            if not isinstance(key, str):
+                raise EncodingError(
+                    f"dict keys must be str, got {type(key).__name__}"
+                )
+            item = value[key]
+            size += _size(key, str) + _size(item, type(item))
+        return size
+    if kind is bytes:
+        return 5 + len(value)
+    if kind is int:
+        return 5 + ((value.bit_length() + 8) // 8 or 1)
+    if kind is list or kind is tuple:
+        size = 5
+        for item in value:
+            size += _size(item, type(item))
+        return size
+    if kind is float:
+        if math.isnan(value):
+            raise EncodingError("NaN has no canonical encoding")
+        return 13
+    if value is None:
+        return 5
+    if kind is bool:
+        return 6
+    return _size(value, _base_type(value))
 
 
 def decode(data: bytes) -> Any:

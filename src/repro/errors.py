@@ -122,6 +122,13 @@ class ServiceError(ReproError):
     """Base class for service-level failures."""
 
 
+class SessionError(ServiceError):
+    """The request named an AP session the server does not hold: one it
+    never issued or forgot in a restart, or one that has expired.  The
+    server rejects such a request before acting on it, so the client may
+    establish a new session and resend."""
+
+
 class AuthorizationDenied(ServiceError):
     """The end-server's policy denied the request."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Type
 
 from repro import errors as _errors
-from repro.encoding.canonical import encode
+from repro.encoding.canonical import encoded_size
 from repro.encoding.identifiers import PrincipalId
 
 _msg_counter = itertools.count(1)
@@ -62,9 +62,10 @@ class Message:
     def wire_size(self) -> int:
         """Bytes this message would occupy on a real wire.
 
-        Messages are frozen, so the canonical encoding is computed once
-        and memoized — a message observed by several network taps is not
-        re-serialized each time.
+        The size of the canonical encoding, counted without building it
+        (:func:`~repro.encoding.canonical.encoded_size`).  Messages are
+        frozen, so it is computed once and memoized for the several
+        network taps that observe a message.
         """
         cached = self.__dict__.get("_wire_size")
         if cached is not None:
@@ -74,15 +75,13 @@ class Message:
             payload = {
                 k: v for k, v in payload.items() if k not in ENVELOPE_KEYS
             }
-        size = len(
-            encode(
-                [
-                    self.source.to_wire(),
-                    self.destination.to_wire(),
-                    self.msg_type,
-                    payload,
-                ]
-            )
+        size = encoded_size(
+            [
+                self.source.to_wire(),
+                self.destination.to_wire(),
+                self.msg_type,
+                payload,
+            ]
         )
         object.__setattr__(self, "_wire_size", size)
         return size
@@ -121,6 +120,7 @@ _WIRE_ERRORS: Dict[str, Type[Exception]] = {
     "authenticator": _errors.AuthenticatorError,
     "unknown-principal": _errors.UnknownPrincipalError,
     "kerberos": _errors.KerberosError,
+    "session": _errors.SessionError,
     "service": _errors.ServiceError,
     "delegation": _errors.DelegationError,
 }

@@ -174,6 +174,10 @@ class AccountingServer(EndServer):
         #: Routing for multi-hop clearing: payor server -> next hop.
         #: Absent entries mean "contact directly".
         self.routes: Dict[PrincipalId, PrincipalId] = {}
+        #: One client, hence one AP session, per peer server we clear
+        #: through; a session the peer no longer holds is re-established
+        #: on first use (``ServiceClient.request``).
+        self._peers: Dict[PrincipalId, ServiceClient] = {}
         self._rng_local = rng or DEFAULT_RNG
         self.register_operation("open-account", self._op_open_account)
         self.register_operation("balance", self._op_balance)
@@ -658,6 +662,13 @@ class AccountingServer(EndServer):
 
     # -- deposits (payee side server, Fig. 5 E1/E2) -----------------------
 
+    def _peer(self, server: PrincipalId) -> ServiceClient:
+        """Our client for ``server``, made on first contact."""
+        client = self._peers.get(server)
+        if client is None:
+            client = self._peers[server] = ServiceClient(self.kerberos, server)
+        return client
+
     def _clear_remotely(
         self,
         bundle: KerberosProxy,
@@ -672,7 +683,11 @@ class AccountingServer(EndServer):
         If a route is configured, endorse to the next hop and let it
         collect; otherwise present the chain to the payor's server
         directly.  Either way we are a named grantee of the chain's final
-        link, so we authenticate (AP session) and present.
+        link, so we authenticate and present.  The AP session with each
+        peer is established once and reused for every later check (as a
+        Kerberos session may be for its ticket's lifetime): the first
+        clearing through a peer costs an AP exchange, later ones only the
+        request.
         """
         next_hop = self.routes.get(payor_server)
         if next_hop is None or next_hop == payor_server:
@@ -685,8 +700,7 @@ class AccountingServer(EndServer):
                     currency=currency,
                     amount=amount,
                 )
-            client = ServiceClient(self.kerberos, payor_server)
-            return client.request(
+            return self._peer(payor_server).request(
                 DEBIT_OPERATION,
                 target=f"{ACCOUNT_TARGET_PREFIX}{payor_account}",
                 args={
@@ -719,8 +733,7 @@ class AccountingServer(EndServer):
             expires_at=expires_at,
             rng=self._rng_local,
         )
-        client = ServiceClient(self.kerberos, next_hop)
-        return client.request(
+        return self._peer(next_hop).request(
             "collect-check",
             target=f"{ACCOUNT_TARGET_PREFIX}{payor_account}",
             args={

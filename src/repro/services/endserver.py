@@ -40,6 +40,7 @@ from repro.errors import (
     AuthorizationDenied,
     ProxyVerificationError,
     ServiceError,
+    SessionError,
 )
 from repro.kerberos.proxy_support import KerberosProxyAcceptor
 from repro.kerberos.session import ApAcceptor, Session
@@ -309,10 +310,10 @@ class EndServer(Service):
             return None
         session = self.sessions.get(session_id)
         if session is None:
-            raise ServiceError("unknown session id")
+            raise SessionError("unknown session id")
         if session.expires_at < self.clock.now():
             del self.sessions[session_id]
-            raise ServiceError("session expired")
+            raise SessionError("session expired")
         return session
 
     # ------------------------------------------------------------------
